@@ -1,5 +1,4 @@
-"""E13 — scheduler fast paths, the typed register file, and columnar
-storage.
+"""E13 — scheduler fast paths and columnar storage.
 
 Dimensions on verifier workloads:
 
@@ -14,21 +13,12 @@ Dimensions on verifier workloads:
   the paper buys O(log n) memory), so the quiescence skip never fires;
   the ratio documents that the fast path's bookkeeping is free.
 * **storage** — the same patrolling train-verifier campaign workload
-  under the three register backends: legacy dicts, the typed register
-  file (PR 2), and the columnar store (``repro.sim.columnar``:
-  ``array('q')`` columns, interning pool, per-id decode memos, bulk
-  column snapshots).  The trains can never quiesce, so this is a pure
-  *per-step* comparison, proven bit-for-bit equivalent by
-  ``tests/test_storage_differential.py``.  Honest numbers: columnar is
-  at per-step *parity* with the register file at n=500 (pure-Python
-  scalar access cannot beat a per-node slot list) and pulls ahead as
-  the per-object layout outgrows the cache — the larger instance row
-  measures that — while dict -> columnar stays >= 2x.
-* **memory** — peak traced allocation of building and running the
-  train verifier at the larger scale: columns replace per-node objects
-  and the snapshot doubles 8-byte entries instead of boxed slots, which
-  is the win that lets campaigns reach sizes the per-object layout
-  cannot (ROADMAP's KMW-sweep direction).
+  on dicts and on the columnar store (``repro.sim.columnar``, the
+  default: ``array('q')`` columns, interning pool, per-id decode memos,
+  bulk column snapshots).  The trains can never quiesce, so this is a
+  pure *per-step* comparison, proven bit-for-bit equivalent by
+  ``tests/test_storage_differential.py``; dict -> columnar must stay
+  >= 1.5x.
 * **bulk plane** (PR 4) — the same columnar patrol workload with the
   scalar activation loop (``bulk=False``, PR 3's per-step path) vs the
   bulk-activation plane (``repro.sim.bulk``): fused ``array('q')``
@@ -83,7 +73,6 @@ feeds to ``python -m repro.engine diff`` against the committed baseline
 """
 
 import time
-import tracemalloc
 
 from conftest import report
 
@@ -108,8 +97,8 @@ HUGE_N = 8000
 STORAGES = STORAGE_KINDS
 
 
-def _timed(network, protocol, rounds, fast=True, storage="schema",
-           warmup=0, bulk=True):
+def _timed(network, protocol, rounds, *, storage, fast=True, warmup=0,
+           bulk=True):
     sched = SynchronousScheduler(network, protocol, fast_path=fast,
                                  storage=storage, bulk=bulk)
     if warmup:
@@ -280,18 +269,6 @@ def _tiled_vs_locality_times(graph, rounds, repeats=2, settle=40):
     return best
 
 
-def _peak_memory(graph, storage, rounds=6):
-    """Peak traced bytes of building + running the train verifier."""
-    tracemalloc.start()
-    net = make_network(graph)
-    proto = MstVerifierProtocol(synchronous=True, static_every=4)
-    sched = SynchronousScheduler(net, proto, storage=storage)
-    sched.run(rounds)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return peak
-
-
 def measure(n=N, big_n=BIG_N, quiescent_rounds=QUIESCENT_ROUNDS,
             patrol_rounds=PATROL_ROUNDS,
             big_patrol_rounds=BIG_PATROL_ROUNDS, repeats=2,
@@ -311,13 +288,10 @@ def measure(n=N, big_n=BIG_N, quiescent_rounds=QUIESCENT_ROUNDS,
         proto = MstVerifierProtocol(synchronous=True, static_every=4)
         patrolling[fast] = _timed(net, proto, patrol_rounds, fast=fast,
                                   storage="dict")
-    # storage dimension: same train-verifier campaign workload under all
-    # three backends (interleaved best-of-`repeats`, see _patrol_times)
+    # storage dimension: same train-verifier campaign workload under
+    # every backend (interleaved best-of-`repeats`, see _patrol_times)
     storage = _patrol_times(g, STORAGES, patrol_rounds, repeats)
     big = random_connected_graph(big_n, int(1.8 * big_n), seed=21)
-    storage_big = _patrol_times(big, ("schema", "columnar"),
-                                big_patrol_rounds, repeats)
-    memory = {st: _peak_memory(big, st) for st in ("schema", "columnar")}
     # bulk-activation plane: columnar scalar loop (the PR 3 per-step
     # path) vs fused batch sweeps, small and campaign scale
     bulk = _bulk_times(g, patrol_rounds, repeats)
@@ -346,23 +320,19 @@ def measure(n=N, big_n=BIG_N, quiescent_rounds=QUIESCENT_ROUNDS,
     else:
         np_bulk = np_bulk_big = np_async_big = None
         tiled_loc = np_async_huge = None
-    return (quiescent, patrolling, storage, storage_big, memory,
+    return (quiescent, patrolling, storage,
             bulk, bulk_big, async_bulk, async_bulk_big,
             np_bulk, np_bulk_big, np_async_big, np_async_huge, tiled_loc)
 
 
-def render(n, big_n, quiescent, patrolling, storage, storage_big, memory,
+def render(n, big_n, quiescent, patrolling, storage,
            bulk, bulk_big, async_bulk, async_bulk_big,
            np_bulk, np_bulk_big, np_async_big, np_async_huge, tiled_loc,
            quiescent_rounds, patrol_rounds, big_patrol_rounds,
            async_rounds, big_async_rounds):
     q_speedup = quiescent[False] / quiescent[True]
     p_speedup = patrolling[False] / patrolling[True]
-    s_speedup = storage["dict"] / storage["schema"]
     c_speedup = storage["dict"] / storage["columnar"]
-    cs_small = storage["schema"] / storage["columnar"]
-    cs_big = storage_big["schema"] / storage_big["columnar"]
-    mem_factor = memory["schema"] / memory["columnar"]
     b_small = bulk[False] / bulk[True]
     b_big = bulk_big[False] / bulk_big[True]
     a_small = async_bulk[False] / async_bulk[True]
@@ -374,19 +344,9 @@ def render(n, big_n, quiescent, patrolling, storage, storage_big, memory,
         ["patrolling (train verifier, fast path)", patrol_rounds,
          f"{patrolling[False]:.3f}", f"{patrolling[True]:.3f}",
          f"{p_speedup:.2f}x"],
-        ["register file (train verifier, dict vs schema)", patrol_rounds,
-         f"{storage['dict']:.3f}", f"{storage['schema']:.3f}",
-         f"{s_speedup:.2f}x"],
         ["columnar (train verifier, dict vs columnar)", patrol_rounds,
          f"{storage['dict']:.3f}", f"{storage['columnar']:.3f}",
          f"{c_speedup:.2f}x"],
-        [f"columnar at scale (n = {big_n}, schema vs columnar)",
-         big_patrol_rounds,
-         f"{storage_big['schema']:.3f}", f"{storage_big['columnar']:.3f}",
-         f"{cs_big:.2f}x"],
-        [f"peak memory (n = {big_n}, schema vs columnar, MB)", "-",
-         f"{memory['schema'] / 1e6:.1f}", f"{memory['columnar'] / 1e6:.1f}",
-         f"{mem_factor:.2f}x"],
         ["bulk plane (columnar scalar vs bulk sweeps)", patrol_rounds,
          f"{bulk[False]:.3f}", f"{bulk[True]:.3f}", f"{b_small:.2f}x"],
         [f"bulk plane at scale (n = {big_n})", big_patrol_rounds,
@@ -450,14 +410,9 @@ def render(n, big_n, quiescent, patrolling, storage, storage_big, memory,
             " orders of magnitude); the patrolling train verifier rewrites"
             " registers every round by design, so the fast path can only"
             " match the naive loop there (~1x documents its bookkeeping is"
-            " free).  The storage rows are the per-step cost of the"
-            " workload that can never quiesce: the typed register file"
-            " wins >= 2x over dicts, and the columnar store holds that"
-            f" win at per-step parity small ({cs_small:.2f}x vs schema),"
-            f" pulling ahead at n = {big_n} ({cs_big:.2f}x) where the"
-            " per-object layout outgrows the cache — while cutting peak"
-            f" memory {mem_factor:.2f}x, which is what lets campaigns"
-            " scale past the per-object layout.  The bulk rows measure"
+            " free).  The storage row is the per-step cost of the"
+            " workload that can never quiesce: the columnar store wins"
+            f" {c_speedup:.2f}x over dicts.  The bulk rows measure"
             " the bulk-activation plane (PR 4) against the scalar"
             " columnar loop those storage rows use: fused column sweeps"
             f" for the step counters plus column-inlined train/Ask"
@@ -533,8 +488,7 @@ def render(n, big_n, quiescent, patrolling, storage, storage_big, memory,
     else:
         body += ("  numpy tier rows skipped: numpy unavailable, the"
                  " tier degrades to plain columnar.")
-    return (q_speedup, p_speedup, s_speedup, c_speedup, cs_big,
-            mem_factor, b_small, b_big, a_small, a_big,
+    return (q_speedup, p_speedup, c_speedup, b_small, b_big, a_small, a_big,
             v_small, v_big, v_async, a2_big, a2_huge, t_ratio, body)
 
 
@@ -564,13 +518,13 @@ def columnar_smoke_specs(seed=0):
 
 
 def test_scheduler_fastpath(once):
-    (quiescent, patrolling, storage, storage_big, memory, bulk,
+    (quiescent, patrolling, storage, bulk,
      bulk_big, async_bulk, async_bulk_big, np_bulk, np_bulk_big,
      np_async_big, np_async_huge, tiled_loc) = once(measure)
-    (q_speedup, p_speedup, s_speedup, c_speedup, cs_big, mem_factor,
+    (q_speedup, p_speedup, c_speedup,
      b_small, b_big, a_small, a_big, v_small, v_big, v_async,
      a2_big, a2_huge, t_ratio, body) = render(
-        N, BIG_N, quiescent, patrolling, storage, storage_big, memory,
+        N, BIG_N, quiescent, patrolling, storage,
         bulk, bulk_big, async_bulk, async_bulk_big, np_bulk,
         np_bulk_big, np_async_big, np_async_huge, tiled_loc,
         QUIESCENT_ROUNDS, PATROL_ROUNDS, BIG_PATROL_ROUNDS,
@@ -579,15 +533,8 @@ def test_scheduler_fastpath(once):
                               "quiescent 500-node verifier run")
     assert p_speedup >= 0.8, (patrolling, "fast path must not regress "
                               "the always-churning workload")
-    assert s_speedup >= 2.0, (storage, "the typed register file must win "
-                              ">= 2x per step on the train verifier")
     assert c_speedup >= 1.5, (storage, "the columnar store must hold the "
                               ">= 2x-class win over dicts")
-    assert cs_big >= 0.85, (storage_big, "columnar must stay at least at "
-                            "per-step parity with the register file at "
-                            "campaign scale")
-    assert mem_factor >= 1.3, (memory, "columnar must cut peak memory on "
-                               "the 2k-node workload")
     # bulk plane: 1.5x measured at n=500 on a quiet machine; the gates
     # hold the repeatable floor under noise (see the body's shortfall
     # note — the residue is the trains' dynamic pipeline traffic)
@@ -634,7 +581,7 @@ def test_scheduler_fastpath(once):
             assert t_ratio >= 1.5, (tiled_loc, "tiled fused rounds "
                                     "must beat locality scalar rounds "
                                     ">= 1.5x per round (5.6x measured)")
-    report("E13", "fast-path scheduler + register file + columnar storage",
+    report("E13", "fast-path scheduler + columnar storage",
            body)
 
 

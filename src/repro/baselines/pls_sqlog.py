@@ -81,8 +81,9 @@ def sqlog_check(view) -> List[str]:
     roots = view.get(R.REG_ROOTS)
     endp = view.get(R.REG_ENDP)
     pieces = view.get(REG_ALL_PIECES)
-    if not isinstance(jmask, int) or not isinstance(roots, str) \
-            or not isinstance(endp, str):
+    # a negative mask has no level decoding (bools stay ints, as before)
+    if not isinstance(jmask, int) or jmask < 0 \
+            or not isinstance(roots, str) or not isinstance(endp, str):
         return bad or ["sqlog: malformed base labels"]
     levels = sorted_levels(jmask)
     if not isinstance(pieces, tuple) or \
@@ -148,8 +149,7 @@ class SqLogPlsProtocol(Protocol):
 
     The checks are written against the storage-agnostic name-based view
     API, but declaring a schema still pays: the network's snapshots
-    become slot-list (or whole-column) copies and alarm polling a slot
-    load, the Theta(log^2 n)-bit piece tables intern into the columnar
+    become whole-column copies and alarm polling a column scan, the Theta(log^2 n)-bit piece tables intern into the columnar
     pool (one shared tuple per distinct table instead of one per node
     copy), and the dirty-aware schedulers can skip re-checking quiescent
     (accepting) nodes — under the locality-batching daemon a whole
@@ -165,7 +165,7 @@ class SqLogPlsProtocol(Protocol):
 
     def bind_registers(self, compiled) -> None:
         # the whole check is a pure function of the closed
-        # neighbourhood's labels: under register files it reruns only
+        # neighbourhood's labels: under slot storage it reruns only
         # when the stable sentinel moves
         self._slot_bound = compiled is not None
         self._check_cache = {}

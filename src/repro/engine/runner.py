@@ -227,7 +227,7 @@ class CampaignResult:
         lines.append(format_table(
             ["fault", "runs", "detected", "worst detection rounds",
              "max memory bits", "violations"], rows))
-        tiers = sorted({r.spec.schedule.get("storage", "dict")
+        tiers = sorted({r.spec.schedule.get("storage", "columnar")
                         for r in self.results})
         if tiers:
             note = ""

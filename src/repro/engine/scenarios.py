@@ -17,8 +17,8 @@ a registry in this module:
   ``tiled`` — the hybrid daemon that sweeps distance-2 tiles and
   partitions each tile into conflict-free sub-batches);
   every schedule accepts the implementation parameter
-  ``storage="schema"|"dict"|"columnar"|"numpy"`` selecting the
-  register backend; asynchronous schedules additionally accept
+  ``storage="columnar"|"numpy"|"dict"`` selecting the register backend
+  (``columnar`` when omitted); asynchronous schedules additionally accept
   ``coalesce`` and ``vec_min_batch`` (conflict-free super-batch
   coalescing and the vector tier's batch-size gate — implementation
   parameters, excluded from seed derivation like ``storage``);
@@ -53,7 +53,8 @@ from ..graphs.weighted import NodeId, WeightedGraph
 from ..sim.churn import ChurnScript, run_with_churn
 from ..sim.faults import FaultInjector, detection_distance
 from ..sim.network import Network, Protocol, first_alarm
-from ..sim.schedulers import (AsynchronousScheduler, ConflictFreeDaemon,
+from ..sim.schedulers import (STORAGE_COLUMNAR, STORAGE_KINDS,
+                              AsynchronousScheduler, ConflictFreeDaemon,
                               LocalityBatchDaemon, PermutationDaemon,
                               RandomDaemon, RoundRobinDaemon,
                               SlowNodesDaemon, SynchronousScheduler,
@@ -211,19 +212,18 @@ def register_schedule(kind: str, synchronous: bool,
 
 
 def _storage_flag(kind: str, params: dict) -> str:
-    """Pop the ``storage`` schedule parameter: ``"schema"`` (default)
-    backs the network with the protocol's typed register file,
-    ``"columnar"`` with the packed column store
-    (:mod:`repro.sim.columnar`), ``"numpy"`` with the vectorized numpy
-    column tier (:mod:`repro.sim.npcolumnar`; falls back to columnar
-    with a warning when numpy is absent), and ``"dict"`` forces the
-    legacy per-node dict store (the reference representation the
-    differential tests compare against)."""
-    storage = params.pop("storage", "schema")
-    if storage not in ("schema", "dict", "columnar", "numpy"):
+    """Pop the ``storage`` schedule parameter, one of three backends:
+    ``"columnar"`` (the default) backs the network with the packed
+    column store (:mod:`repro.sim.columnar`), ``"numpy"`` with the
+    vectorized numpy column tier (:mod:`repro.sim.npcolumnar`; falls
+    back to columnar with a warning when numpy is absent), and
+    ``"dict"`` forces the per-node dict store (the reference
+    representation the differential tests compare against)."""
+    storage = params.pop("storage", STORAGE_COLUMNAR)
+    if storage not in STORAGE_KINDS:
         raise ScenarioError(
             f"{kind!r}: unknown storage {storage!r} "
-            "(expected 'schema', 'columnar', 'numpy' or 'dict')")
+            "(expected 'columnar', 'numpy' or 'dict')")
     return storage
 
 

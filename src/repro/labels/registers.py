@@ -83,7 +83,7 @@ def declare_label_registers(schema) -> None:
     """Declare the marker's label registers into a register schema.
 
     Labels are declared ``stable``: they change only under fault
-    injection or relabeling, so writes to them bump the register file's
+    injection or relabeling, so writes to them bump the node's
     stable version and invalidate the protocols' label-derived caches
     (part topology, Ask levels, static-check results, budgets)."""
     for name, kind, default in LABEL_REGISTER_DECLS:

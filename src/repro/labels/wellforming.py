@@ -53,6 +53,9 @@ def log_threshold(n: int) -> int:
 
 @lru_cache(maxsize=8192)
 def _sorted_levels_tuple(jmask: int) -> tuple:
+    if jmask < 0:
+        # a negative int never shifts down to zero: refuse, don't loop
+        raise ValueError(f"negative J-mask {jmask!r}")
     levels = []
     j = 0
     while jmask:

@@ -33,10 +33,11 @@ The plane has three layers:
   storage (:class:`ColumnarBulkOps`) a fused read-modify-write is a
   single sweep over an ``array('q')`` column with one dirty mark per
   batch (:meth:`~repro.sim.columnar.ColumnStore.inc_nat_batch`,
-  :meth:`~repro.sim.columnar.ColumnStore.gather_values`); dict and
-  schema storage have no vectorizable layout, so ``batch.ops`` is None
-  there and protocols run the generic per-node fallback driver — which
-  is what keeps all three backends bit-for-bit equivalent
+  :meth:`~repro.sim.columnar.ColumnStore.gather_values`); dict
+  storage has no vectorizable layout, so ``batch.ops`` is None there
+  and protocols run the generic per-node fallback driver — which is
+  what keeps all three backends (dict, columnar — the default — and
+  numpy) bit-for-bit equivalent
   (``tests/test_bulk_plane.py`` proves bulk == scalar on every backend
   under every scheduler kind).
 

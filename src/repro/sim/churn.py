@@ -45,7 +45,7 @@ caches (via a forced re-bind).
 Determinism: scripts derive only from the graph and the seed; the
 driver's metrics are pure round/alarm-count arithmetic over quantities
 the storage-differential matrices already prove backend-equal, so a
-churn run is bit-for-bit identical on dict, schema, columnar, and numpy
+churn run is bit-for-bit identical on dict, columnar, and numpy
 storage.  Callers that run one script against several backends must
 hand each run its own ``graph.copy()`` — the driver mutates the
 network's graph in place.

@@ -1,9 +1,10 @@
 """Columnar register storage: pack the hot state into arrays.
 
-The third storage backend (after the legacy per-node dicts and the typed
-register files of :mod:`repro.sim.registers`): instead of one slot list
-per node, the network keeps one **column** per register, indexed by a
-dense node index.
+The default backend for protocols that declare a register schema (the
+per-node dicts stay the reference; :mod:`repro.sim.npcolumnar` adds
+vector batch ops over the same columns): the network keeps one
+**column** per register of the compiled schema, indexed by a dense node
+index.
 
 * ``nat``-kind registers pack into ``array('q')`` columns — the raw
   value *is* the stored int64, so numeric reads need no separate
@@ -47,7 +48,7 @@ A store-level ``stable_epoch`` counter (bumped on every write to a
 label anywhere changed — the common case on every settled network —
 instead of summing the closed neighbourhood per step.
 
-Equivalence: the backend is observably identical to the other two —
+Equivalence: the backend is observably identical to the dict store —
 same mapping contents, same alarms, rounds, activations, and memory
 bits (``tests/test_storage_differential.py`` proves it three ways).
 The interning pool verifies every hit with :func:`same_shape` (deep
@@ -708,12 +709,11 @@ class ColumnStore:
 
 
 class ColumnarNodeFacade:
-    """The per-node ``RegisterFile``-shaped face over a column store.
+    """One node's row of a column store, as a per-node register object.
 
     Everything that treats node registers as a per-node object — the
     dict-compatible :class:`~repro.sim.registers.RegisterView`, fault
-    injection, markers, the bit accounting — works against this facade
-    exactly as it does against a register file.
+    injection, markers, the bit accounting — works against this facade.
     """
 
     __slots__ = ("store", "node", "i")
@@ -810,9 +810,9 @@ class ColumnarNodeFacade:
 
 class ColumnarNodeContext:
     """The columnar counterpart of
-    :class:`~repro.sim.network.SlotNodeContext`: the same handle API
-    (int slot indices resolved by ``Protocol.bind_registers``, str names
-    as the storage-agnostic fallback), backed by column loads.
+    :class:`~repro.sim.network.NodeContext`: the handle API (int slot
+    indices resolved by ``Protocol.bind_registers``, str names as the
+    storage-agnostic fallback), backed by column loads.
 
     Own registers are read and written live; neighbour reads go to the
     ``snap`` store (a scheduler snapshot under the synchronous fast

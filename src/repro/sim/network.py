@@ -17,18 +17,18 @@ Protocols signal fault detection by setting the ``alarm`` register to a
 non-None reason string; the harness collects alarms via
 :meth:`Network.alarms`.
 
-Storage: a network starts on the legacy per-node dict store.  When a
-protocol declares a :class:`~repro.sim.registers.RegisterSchema`
+Storage: three backends hold node state.  A network starts on the
+per-node dict store (``dict``, the reference).  When a protocol declares
+a :class:`~repro.sim.registers.RegisterSchema`
 (:meth:`Protocol.register_schema`), the schedulers compile it once and
-call :meth:`Network.adopt_schema`, which converts every node to a
-slot-addressed :class:`~repro.sim.registers.RegisterFile` (or, with
-``columnar=True``, the whole network to per-register columns —
-:mod:`repro.sim.columnar`); ``registers`` then maps nodes to
-dict-compatible views, so storage-agnostic code (fault injection,
-markers, tests) is unaffected.  Protocol hot paths run against
-:class:`SlotNodeContext` (or its columnar counterpart), whose accessors
-take integer slot handles and are O(1) loads with write-time-cached
-``nat`` coercion.
+call :meth:`Network.adopt_schema`, which packs the whole network into
+per-register columns (``columnar``, the default —
+:mod:`repro.sim.columnar`; or ``numpy``, the same columns with
+vectorized batch ops — :mod:`repro.sim.npcolumnar`).  ``registers``
+then maps nodes to dict-compatible views, so storage-agnostic code
+(fault injection, markers, tests) is unaffected.  Protocol hot paths run
+against :class:`~repro.sim.columnar.ColumnarNodeContext`, whose
+accessors take integer slot handles and are O(1) column loads.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from ..graphs.weighted import NodeId, WeightedGraph
-from .registers import (ALARM, CompiledSchema, NO_DECODE, RegisterFile,
-                        RegisterSchema, RegisterView, UNSET, compile_schema,
-                        nat_value, register_bits)
+from .columnar import ColumnarNodeContext, ColumnarNodeFacade, ColumnStore
+from .registers import (ALARM, CompiledSchema, RegisterSchema, RegisterView,
+                        UNSET, compile_schema, nat_value, register_bits)
 
 _MISSING = object()
 
@@ -48,8 +48,8 @@ class RegisterTable(dict):
 
     Legacy code replaces a node's registers wholesale
     (``network.registers[v] = {...}``); on a schema-backed network that
-    must rewrite the node's register *file* in place, not shadow it with
-    a plain dict."""
+    must rewrite the node's row of the column store in place, not shadow
+    it with a plain dict."""
 
     def __setitem__(self, node: NodeId, value: Any) -> None:
         current = dict.get(self, node)
@@ -68,9 +68,8 @@ class Network:
                  schema: Optional[RegisterSchema] = None) -> None:
         self.graph = graph
         self.schema: Optional[CompiledSchema] = None
-        self.files: Optional[Dict[NodeId, RegisterFile]] = None
-        #: columnar backing (:class:`~repro.sim.columnar.ColumnStore`)
-        #: when ``adopt_schema(..., columnar=True)`` was used
+        #: the column store (:class:`~repro.sim.columnar.ColumnStore`)
+        #: once a schema was adopted; None on dict storage
         self.columns = None
         self.registers: Dict[NodeId, Dict[str, Any]] = {
             v: {} for v in graph.nodes()
@@ -78,55 +77,36 @@ class Network:
         if schema is not None:
             self.adopt_schema(schema)
 
-    def adopt_schema(self, schema, columnar: bool = False) -> CompiledSchema:
-        """Convert node storage to register files of ``schema`` — per-node
-        slot lists by default, network-wide columns under
-        ``columnar=True`` (see :mod:`repro.sim.columnar`), numpy-tier
-        columns under ``columnar="numpy"`` (same representation, vector
-        batch ops — see :mod:`repro.sim.npcolumnar`).
+    def adopt_schema(self, schema, numpy: bool = False) -> CompiledSchema:
+        """Pack node storage into per-register columns of ``schema``
+        (:mod:`repro.sim.columnar`); ``numpy=True`` picks the numpy-tier
+        store (same representation, vector batch ops — see
+        :mod:`repro.sim.npcolumnar`).
 
-        Idempotent for an equal schema on the same layout; re-adopting a
-        different schema or switching layout (including columnar <->
-        numpy, which differ only by store class) rebuilds the storage
-        from the current register contents (values are preserved,
-        undeclared names land in the extras).  Returns the compiled
-        schema now backing the network.
+        Idempotent for an equal schema on the same store class;
+        re-adopting a different schema or switching store class rebuilds
+        the columns from the current register contents (values are
+        preserved, undeclared names land in the extras).  Returns the
+        compiled schema now backing the network.
         """
         compiled = compile_schema(schema)
-        if columnar == "numpy":
+        if numpy:
             from .npcolumnar import NumpyColumnStore
             store_cls = NumpyColumnStore
         else:
-            from .columnar import ColumnStore
             store_cls = ColumnStore
         if self.schema is not None and self.schema == compiled and \
-                (self.columns is not None) == bool(columnar) and \
-                (self.columns is None or type(self.columns) is store_cls):
+                type(self.columns) is store_cls:
             return self.schema
-        if columnar:
-            from .columnar import ColumnarNodeFacade
-            nodes = self.graph.nodes()
-            store = store_cls(compiled, nodes)
-            table = RegisterTable()
-            for v in nodes:
-                facade = ColumnarNodeFacade(store, v)
-                facade.update(self.registers[v])
-                dict.__setitem__(table, v, RegisterView(facade))
-            self.schema = compiled
-            self.files = None
-            self.columns = store
-            self.registers = table
-            return compiled
-        files: Dict[NodeId, RegisterFile] = {}
+        nodes = self.graph.nodes()
+        store = store_cls(compiled, nodes)
         table = RegisterTable()
-        for v in self.graph.nodes():
-            f = RegisterFile(compiled)
-            f.update(self.registers[v])
-            files[v] = f
-            dict.__setitem__(table, v, RegisterView(f))
+        for v in nodes:
+            facade = ColumnarNodeFacade(store, v)
+            facade.update(self.registers[v])
+            dict.__setitem__(table, v, RegisterView(facade))
         self.schema = compiled
-        self.files = files
-        self.columns = None
+        self.columns = store
         self.registers = table
         return compiled
 
@@ -153,9 +133,6 @@ class Network:
         if self.columns is not None:
             self.columns.detach_node(v)
             dict.pop(self.registers, v)
-        elif self.files is not None:
-            del self.files[v]
-            dict.pop(self.registers, v)
         else:
             del self.registers[v]
         return stub
@@ -169,14 +146,9 @@ class Network:
         protocol's ``init_node``)."""
         self.graph.restore_node(v, stub["graph"])
         if self.columns is not None:
-            from .columnar import ColumnarNodeFacade
             self.columns.attach_node(v)
             facade = ColumnarNodeFacade(self.columns, v)
             dict.__setitem__(self.registers, v, RegisterView(facade))
-        elif self.files is not None:
-            f = RegisterFile(self.schema)
-            self.files[v] = f
-            dict.__setitem__(self.registers, v, RegisterView(f))
         else:
             self.registers[v] = {}
 
@@ -185,9 +157,6 @@ class Network:
         if self.columns is not None:
             for i in range(self.columns.n):
                 self.columns.clear_node(i)
-        elif self.files is not None:
-            for f in self.files.values():
-                f.clear()
         else:
             for v in self.registers:
                 self.registers[v] = {}
@@ -205,15 +174,6 @@ class Network:
             # alarm declared with a packed kind: resolve per node
             return {store.nodes[i]: reason for i in range(store.n)
                     if (reason := store.get_value(i, a)) is not None}
-        files = self.files
-        if files is not None:
-            a = self.schema.alarm_slot
-            out = {}
-            for v, f in files.items():
-                reason = f.slots[a]
-                if reason is not UNSET and reason is not None:
-                    out[v] = reason
-            return out
         return {
             v: regs[ALARM]
             for v, regs in self.registers.items()
@@ -233,14 +193,6 @@ class Network:
                 return False
             return any(store.get_value(i, a) is not None
                        for i in range(store.n))
-        files = self.files
-        if files is not None:
-            a = self.schema.alarm_slot
-            for f in files.values():
-                reason = f.slots[a]
-                if reason is not UNSET and reason is not None:
-                    return True
-            return False
         for regs in self.registers.values():
             if regs.get(ALARM) is not None:
                 return True
@@ -254,10 +206,7 @@ class Network:
         :class:`NodeContext` directly: a protocol bound to slot handles
         needs a slot-addressed context."""
         if self.columns is not None:
-            from .columnar import ColumnarNodeContext
             return ColumnarNodeContext(self, node, self.columns)
-        if self.files is not None:
-            return SlotNodeContext(self, node, self.files)
         return NodeContext(self, node, self.registers)
 
     def max_memory_bits(self) -> int:
@@ -267,8 +216,6 @@ class Network:
             store = self.columns
             return max((store.node_bits(i) for i in range(store.n)),
                        default=0)
-        if self.files is not None:
-            return max((f.bits() for f in self.files.values()), default=0)
         return max((register_bits(regs) for regs in self.registers.values()),
                    default=0)
 
@@ -277,8 +224,6 @@ class Network:
         if self.columns is not None:
             store = self.columns
             return sum(store.node_bits(i) for i in range(store.n))
-        if self.files is not None:
-            return sum(f.bits() for f in self.files.values())
         return sum(register_bits(regs) for regs in self.registers.values())
 
 
@@ -369,200 +314,6 @@ class NodeContext:
         return self.network.graph.port(self.node, neighbor)
 
 
-class SlotNodeContext:
-    """The register-file counterpart of :class:`NodeContext`.
-
-    Accessors take *handles*: an ``int`` slot index (resolved once per
-    run by :meth:`Protocol.bind_registers`) gives an O(1) list load; a
-    ``str`` name falls back to the schema lookup, so storage-agnostic
-    code (static label checks, instrumentation) runs unchanged.  ``nat``
-    and ``read_nat`` return the write-time-cached coercion instead of
-    re-parsing the value on every read.
-
-    ``dirty`` is slot-level: a dict mapping the node to the set of slot
-    indices whose value actually changed (``-1`` marks a change in the
-    undeclared-extras dict), which lets the fast-path synchronous
-    scheduler refresh only the stale slots of its snapshot.
-
-    ``neighbors`` is a plain attribute (the schedulers pass the cached
-    adjacency list), not a property.
-    """
-
-    __slots__ = ("network", "node", "neighbors", "_own", "_slots", "_nats",
-                 "_decoded", "_stable_mask", "_snapshot", "_dirty", "_marks")
-
-    def __init__(self, network: Network, node: NodeId,
-                 snapshot: Mapping[NodeId, RegisterFile],
-                 dirty: Optional[dict] = None,
-                 neighbors: Optional[List[NodeId]] = None) -> None:
-        self.network = network
-        self.node = node
-        self.neighbors = network.graph.neighbors(node) \
-            if neighbors is None else neighbors
-        own = network.files[node]
-        self._own = own
-        self._slots = own.slots
-        self._nats = own.nats
-        self._decoded = own.decoded
-        self._stable_mask = own.schema.stable_mask
-        self._snapshot = snapshot
-        self._dirty = dirty
-        #: the node's slot-mark set inside ``_dirty``, looked up once per
-        #: step; whoever reassigns ``_dirty`` must reset this to None
-        self._marks = None
-
-    def stable_sentinel(self) -> int:
-        """Version sentinel of the closed neighbourhood's stable (label)
-        registers: own live file plus the neighbours as visible through
-        this step's snapshot.  Protocols key label-derived caches on it —
-        the counters are monotone, so the sum changes iff some label in
-        the read scope changed."""
-        s = self._own.stable_version
-        snapshot = self._snapshot
-        for u in self.neighbors:
-            s += snapshot[u].stable_version
-        return s
-
-    # -- own state ------------------------------------------------------
-    def get(self, handle, default: Any = None) -> Any:
-        if type(handle) is int:
-            v = self._slots[handle]
-            return default if v is UNSET else v
-        return self._own.get_name(handle, default)
-
-    def nat(self, handle, cap: int = 1 << 30) -> Optional[int]:
-        if type(handle) is int:
-            v = self._nats[handle]
-            return v if v is not None and v <= cap else None
-        return nat_value(self._own.get_name(handle), cap)
-
-    def get_decoded(self, handle, decoder) -> Any:
-        """``decoder(own register value)``, decoded once per write.
-
-        The decoder must be a pure function of the raw value, and a slot
-        must always be decoded by the same decoder (one cache line per
-        slot)."""
-        if type(handle) is int:
-            d = self._decoded[handle]
-            if d is NO_DECODE:
-                v = self._slots[handle]
-                d = decoder(None if v is UNSET else v)
-                self._decoded[handle] = d
-            return d
-        return decoder(self._own.get_name(handle))
-
-    def set(self, handle, value: Any) -> None:
-        if type(handle) is not int:
-            i = self._own.schema.slots.get(handle)
-            if i is None:
-                self._set_extra(handle, value)
-                return
-            handle = i
-        slots = self._slots
-        if self._dirty is not None:
-            prev = slots[handle]
-            if prev != value or type(prev) is not type(value):
-                marks = self._marks
-                if marks is not None:
-                    marks.add(handle)
-                else:
-                    self._mark(handle)
-        slots[handle] = value
-        # inlined registers.nat_cache_value (hot path) — keep in sync
-        self._nats[handle] = value if isinstance(value, int) \
-            and not isinstance(value, bool) and value >= 0 else None
-        self._decoded[handle] = NO_DECODE
-        if self._stable_mask[handle]:
-            self._own.stable_version += 1
-
-    def _set_extra(self, name: str, value: Any) -> None:
-        own = self._own
-        if self._dirty is not None:
-            prev = own.extra.get(name, _MISSING) if own.extra else _MISSING
-            if prev != value or type(prev) is not type(value):
-                self._mark(-1)
-        if own.extra is None:
-            own.extra = {}
-        own.extra[name] = value
-
-    def _mark(self, slot: int) -> None:
-        marks = self._marks
-        if marks is None:
-            dirty = self._dirty
-            marks = dirty.get(self.node)
-            if marks is None:
-                dirty[self.node] = marks = set()
-            self._marks = marks
-        marks.add(slot)
-
-    def unset(self, handle) -> None:
-        own = self._own
-        if type(handle) is not int:
-            i = own.schema.slots.get(handle)
-            if i is None:
-                if own.extra and handle in own.extra:
-                    if self._dirty is not None:
-                        self._mark(-1)
-                    del own.extra[handle]
-                return
-            handle = i
-        if self._slots[handle] is not UNSET:
-            if self._dirty is not None:
-                self._mark(handle)
-            self._slots[handle] = UNSET
-            self._nats[handle] = None
-            self._decoded[handle] = NO_DECODE
-            if self._stable_mask[handle]:
-                self._own.stable_version += 1
-
-    def alarm(self, reason: str) -> None:
-        """Raise (and latch) an alarm at this node."""
-        a = self._own.schema.alarm_slot
-        current = self._slots[a]
-        if current is UNSET or current is None:
-            self.set(a, reason)
-
-    # -- neighbour state --------------------------------------------------
-    def read(self, neighbor: NodeId, handle, default: Any = None) -> Any:
-        f = self._snapshot[neighbor]
-        if type(handle) is int:
-            v = f.slots[handle]
-            return default if v is UNSET else v
-        return f.get_name(handle, default)
-
-    def read_nat(self, neighbor: NodeId, handle,
-                 cap: int = 1 << 30) -> Optional[int]:
-        f = self._snapshot[neighbor]
-        if type(handle) is int:
-            v = f.nats[handle]
-            return v if v is not None and v <= cap else None
-        return nat_value(f.get_name(handle), cap)
-
-    def read_decoded(self, neighbor: NodeId, handle, decoder) -> Any:
-        """``decoder(neighbour register value)``, decoded once per write
-        (the cache lives in the snapshot's register file)."""
-        f = self._snapshot[neighbor]
-        if type(handle) is int:
-            d = f.decoded[handle]
-            if d is NO_DECODE:
-                v = f.slots[handle]
-                d = decoder(None if v is UNSET else v)
-                f.decoded[handle] = d
-            return d
-        return decoder(f.get_name(handle))
-
-    # -- topology ---------------------------------------------------------
-    @property
-    def degree(self) -> int:
-        return len(self.neighbors)
-
-    def weight(self, neighbor: NodeId):
-        return self.network.graph.weight(self.node, neighbor)
-
-    def port(self, neighbor: NodeId) -> int:
-        return self.network.graph.port(self.node, neighbor)
-
-
 class Protocol:
     """Base class for distributed protocols run by the schedulers.
 
@@ -580,7 +331,7 @@ class Protocol:
     A protocol may declare its registers by returning a
     :class:`~repro.sim.registers.RegisterSchema` from
     :meth:`register_schema`; the schedulers then back the network with
-    array-based register files and call :meth:`bind_registers` with the
+    per-register columns and call :meth:`bind_registers` with the
     compiled schema so the protocol can resolve its register names to
     integer slot handles once (``bind_registers(None)`` restores
     name-string handles for dict storage).  Protocols without a schema

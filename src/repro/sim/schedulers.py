@@ -12,16 +12,15 @@ the paper's strongly fair distributed daemon).
 
 Storage: when the protocol declares a register schema
 (:meth:`Protocol.register_schema`) both schedulers back the network with
-typed register storage (:meth:`Network.adopt_schema`), bind the
+per-register columns (:meth:`Network.adopt_schema`), bind the
 protocol's register names to integer slot handles once, and drive steps
-through a slot-addressed context.  The ``storage`` parameter selects
-the backend: ``"schema"`` (default) keeps per-node slot lists and
-:class:`~repro.sim.network.SlotNodeContext`; ``"columnar"`` packs the
-network into per-register columns (:mod:`repro.sim.columnar` —
-``array('q')`` nat columns, interning pool, bulk-copy snapshots) driven
-through :class:`~repro.sim.columnar.ColumnarNodeContext`; ``"dict"``
-(or an undeclared protocol) keeps the legacy dict storage.  All three
-representations are bit-for-bit equivalent
+through :class:`~repro.sim.columnar.ColumnarNodeContext`.  The
+``storage`` parameter selects one of three backends: ``"columnar"``
+(the default — :mod:`repro.sim.columnar`: ``array('q')`` nat columns,
+interning pool, bulk-copy snapshots); ``"numpy"`` (the same columns
+with vectorized batch ops, :mod:`repro.sim.npcolumnar`); ``"dict"``
+(or an undeclared protocol) keeps the per-node dict storage, the
+reference.  All three are bit-for-bit equivalent
 (``tests/test_storage_differential.py``).
 
 Bulk-activation plane: when the protocol declares
@@ -49,30 +48,23 @@ from typing import (Any, Dict, Iterable, List, Mapping, Optional,
 from ..graphs.weighted import NodeId
 from .bulk import BulkBatch, ColumnarBulkOps
 from .columnar import ColumnarNodeContext
-from .network import (Network, NodeContext, Protocol, SlotNodeContext,
-                      StopCondition)
+from .network import Network, NodeContext, Protocol, StopCondition
 
 #: storage backends a scheduler can run a schema-declaring protocol on
 STORAGE_DICT = "dict"
-STORAGE_SCHEMA = "schema"
 STORAGE_COLUMNAR = "columnar"
 STORAGE_NUMPY = "numpy"
-STORAGE_KINDS = (STORAGE_DICT, STORAGE_SCHEMA, STORAGE_COLUMNAR,
-                 STORAGE_NUMPY)
-
-#: the column-backed kinds (shared representation, different batch ops)
-_COLUMN_STORAGES = (STORAGE_COLUMNAR, STORAGE_NUMPY)
+STORAGE_KINDS = (STORAGE_DICT, STORAGE_COLUMNAR, STORAGE_NUMPY)
 
 
-def _storage_mode(storage, use_schema: bool) -> str:
-    """Normalize the scheduler storage selection: the ``storage`` name
-    wins when given; otherwise the legacy ``use_schema`` flag picks
-    between ``schema`` and ``dict``.  ``numpy`` without numpy installed
-    degrades to ``columnar`` with a one-shot warning — the tiers are
-    bit-for-bit identical, so this is an implementation substitution,
-    never a semantic one."""
+def _storage_mode(storage) -> str:
+    """Normalize the scheduler storage selection: None means
+    ``columnar``.  ``numpy`` without numpy installed degrades to
+    ``columnar`` with a one-shot warning — the tiers are bit-for-bit
+    identical, so this is an implementation substitution, never a
+    semantic one."""
     if storage is None:
-        return STORAGE_SCHEMA if use_schema else STORAGE_DICT
+        return STORAGE_COLUMNAR
     if storage not in STORAGE_KINDS:
         raise ValueError(f"unknown storage {storage!r} "
                          f"(expected one of {STORAGE_KINDS})")
@@ -97,8 +89,7 @@ def _bind_storage(network: Network, protocol: Protocol, storage: str):
         schema = protocol.register_schema()
         if schema is not None:
             compiled = network.adopt_schema(
-                schema, columnar=("numpy" if storage == STORAGE_NUMPY
-                                  else storage == STORAGE_COLUMNAR))
+                schema, numpy=storage == STORAGE_NUMPY)
     protocol.bind_registers(compiled)
     protocol._storage_binding = compiled
     return compiled
@@ -106,19 +97,16 @@ def _bind_storage(network: Network, protocol: Protocol, storage: str):
 
 def _ensure_storage(network: Network, protocol: Protocol,
                     storage: str, compiled):
-    """Re-adopt the scheduler's storage layout if another scheduler
-    switched the shared network's backing since the last run; returns
-    the compiled schema now backing it (``compiled`` when unchanged)."""
+    """Re-adopt the scheduler's store class if another scheduler
+    switched the shared network between plain and numpy columns since
+    the last run; returns the compiled schema now backing it
+    (``compiled`` when unchanged)."""
     if compiled is None:
         return None
-    want_columns = storage in _COLUMN_STORAGES
-    if want_columns != (network.columns is not None):
+    from .npcolumnar import NumpyColumnStore
+    if (type(network.columns) is NumpyColumnStore) != \
+            (storage == STORAGE_NUMPY):
         return _bind_storage(network, protocol, storage)
-    if want_columns:
-        from .npcolumnar import NumpyColumnStore
-        if (type(network.columns) is NumpyColumnStore) != \
-                (storage == STORAGE_NUMPY):
-            return _bind_storage(network, protocol, storage)
     return compiled
 
 
@@ -147,8 +135,7 @@ class SynchronousScheduler:
     * **dirty-set snapshot** — instead of deep-copying every node's
       registers each round, only the state of nodes whose registers
       actually changed last round is re-copied into the read snapshot
-      (under register files the refresh is *slot-level*: only the slots
-      that changed are copied);
+      (on columns the refresh bulk-copies only the dirty columns);
     * **quiescence skip** — a node whose closed neighbourhood's registers
       were untouched last round would read exactly the inputs of its
       previous step and, since ``Protocol.step`` must be a deterministic
@@ -168,7 +155,7 @@ class SynchronousScheduler:
     """
 
     def __init__(self, network: Network, protocol: Protocol,
-                 fast_path: bool = True, use_schema: bool = True,
+                 fast_path: bool = True,
                  storage: Optional[str] = None,
                  bulk: bool = True,
                  vec_min_batch: Optional[int] = None) -> None:
@@ -184,7 +171,7 @@ class SynchronousScheduler:
         #: bulk-activation plane: hand whole rounds to the protocol's
         #: declared ``bulk_step`` (``bulk=False`` keeps the scalar loop)
         self._bulk_step = protocol.bulk_step if bulk else None
-        self._storage = _storage_mode(storage, use_schema)
+        self._storage = _storage_mode(storage)
         self._compiled = _bind_storage(network, protocol, self._storage)
         self._adjacency: Optional[Dict[NodeId, List[NodeId]]] = None
         self._snap_store = None
@@ -242,18 +229,11 @@ class SynchronousScheduler:
         """Run ``init_node`` at every node (idempotent)."""
         if self._initialized:
             return
-        if self.network.columns is not None and self._compiled is not None:
+        if self._compiled is not None:
             snap, contexts = self._columnar_state()
             snap.refresh_from(self.network.columns, full=True)
             for v in self.network.graph.nodes():
                 self.protocol.init_node(contexts[v])
-        elif self._compiled is not None:
-            files = self.network.files
-            snapshot = {v: f.copy() for v, f in files.items()}
-            adjacency = self._neighbors_of()
-            for v in self.network.graph.nodes():
-                self.protocol.init_node(SlotNodeContext(
-                    self.network, v, snapshot, None, adjacency[v]))
         else:
             snapshot = self._snapshot()
             for v in self.network.graph.nodes():
@@ -274,14 +254,10 @@ class SynchronousScheduler:
         self._compiled = _ensure_storage(self.network, self.protocol,
                                          self._storage, self._compiled)
         self.initialize()
-        if self._compiled is not None and self.network.columns is not None:
+        if self._compiled is not None:
             if self.fast_path:
                 return self._run_fast_columns(max_rounds, stop_when)
             return self._run_naive_columns(max_rounds, stop_when)
-        if self._compiled is not None:
-            if self.fast_path:
-                return self._run_fast_slots(max_rounds, stop_when)
-            return self._run_naive_slots(max_rounds, stop_when)
         if self.fast_path:
             return self._run_fast(max_rounds, stop_when)
         executed = 0
@@ -356,108 +332,6 @@ class SynchronousScheduler:
             self.rounds += 1
             executed += 1
             self.protocol.on_round_end(network, self.rounds)
-            changed_prev = changed
-            if stop_when is not None and stop_when(network):
-                break
-        return executed
-
-    # -- register-file (slot) paths -------------------------------------
-    def _run_naive_slots(self, max_rounds: int,
-                         stop_when: Optional[StopCondition]) -> int:
-        network = self.network
-        protocol = self.protocol
-        nodes = network.graph.nodes()
-        files = network.files
-        adjacency = self._neighbors_of()
-        executed = 0
-        bulk_step = self._bulk_step
-        for _ in range(max_rounds):
-            snapshot = {v: f.copy() for v, f in files.items()}
-            if bulk_step is not None:
-                bulk_step(BulkBatch([
-                    SlotNodeContext(network, v, snapshot, None,
-                                    adjacency[v]) for v in nodes]))
-            else:
-                for v in nodes:
-                    protocol.step(SlotNodeContext(network, v, snapshot,
-                                                  None, adjacency[v]))
-            self.rounds += 1
-            executed += 1
-            protocol.on_round_end(network, self.rounds)
-            if stop_when is not None and stop_when(network):
-                break
-        return executed
-
-    def _run_fast_slots(self, max_rounds: int,
-                        stop_when: Optional[StopCondition]) -> int:
-        network = self.network
-        protocol = self.protocol
-        bulk_step = self._bulk_step
-        nodes = network.graph.nodes()
-        files = network.files
-        adjacency = self._neighbors_of()
-        node_order = {v: i for i, v in enumerate(nodes)}
-        executed = 0
-        snapshot: Dict[NodeId, object] = {}
-        # one context per node, reused across rounds (the snapshot dict
-        # is filled in place so the contexts' reference stays valid)
-        contexts = {v: SlotNodeContext(network, v, snapshot, None,
-                                       adjacency[v]) for v in nodes}
-        changed_prev: Optional[Dict[NodeId, set]] = None
-        while executed < max_rounds:
-            if changed_prev is None:
-                snapshot.clear()
-                for v, f in files.items():
-                    snapshot[v] = f.copy()
-                active: Sequence[NodeId] = nodes
-            else:
-                if not changed_prev:
-                    self.rounds += max_rounds - executed
-                    return max_rounds
-                for v, marks in changed_prev.items():
-                    live = files[v]
-                    if -1 in marks:
-                        # an undeclared (extras) register changed: the
-                        # slot-level refresh cannot express it, recopy
-                        snapshot[v] = live.copy()
-                    else:
-                        snap = snapshot[v]
-                        ss, sn, sd = snap.slots, snap.nats, snap.decoded
-                        ls, ln, ld = live.slots, live.nats, live.decoded
-                        for i in marks:
-                            ss[i] = ls[i]
-                            sn[i] = ln[i]
-                            sd[i] = ld[i]
-                        snap.stable_version = live.stable_version
-                if len(changed_prev) == len(nodes):
-                    active = nodes
-                else:
-                    stale: Set[NodeId] = set()
-                    for u in changed_prev:
-                        stale.add(u)
-                        stale.update(adjacency[u])
-                    active = (nodes if len(stale) >= len(nodes)
-                              else sorted(stale,
-                                          key=node_order.__getitem__))
-            changed: Dict[NodeId, set] = {}
-            if bulk_step is not None:
-                batch_ctxs = []
-                append = batch_ctxs.append
-                for v in active:
-                    ctx = contexts[v]
-                    ctx._dirty = changed
-                    ctx._marks = None
-                    append(ctx)
-                bulk_step(BulkBatch(batch_ctxs))
-            else:
-                for v in active:
-                    ctx = contexts[v]
-                    ctx._dirty = changed
-                    ctx._marks = None
-                    protocol.step(ctx)
-            self.rounds += 1
-            executed += 1
-            protocol.on_round_end(network, self.rounds)
             changed_prev = changed
             if stop_when is not None and stop_when(network):
                 break
@@ -1020,7 +894,6 @@ class AsynchronousScheduler:
 
     def __init__(self, network: Network, protocol: Protocol,
                  daemon: Optional[Daemon] = None,
-                 use_schema: bool = True,
                  dirty_aware: bool = True,
                  storage: Optional[str] = None,
                  bulk: bool = True,
@@ -1074,7 +947,7 @@ class AsynchronousScheduler:
             if bulk and getattr(protocol, "bulk_conflict_free", False) \
             else None
         self._live_ops = None
-        self._storage = _storage_mode(storage, use_schema)
+        self._storage = _storage_mode(storage)
         self._compiled = _bind_storage(network, protocol, self._storage)
 
     def topology_changed(self) -> None:
@@ -1097,19 +970,12 @@ class AsynchronousScheduler:
     def initialize(self) -> None:
         if self._initialized:
             return
-        if self._compiled is not None and self.network.columns is not None:
+        if self._compiled is not None:
             graph = self.network.graph
             store = self.network.columns
             for v in graph.nodes():
                 ctx = ColumnarNodeContext(self.network, v, store, None,
                                           graph.neighbors(v))
-                self.protocol.init_node(ctx)
-        elif self._compiled is not None:
-            files = self.network.files
-            graph = self.network.graph
-            for v in graph.nodes():
-                ctx = SlotNodeContext(self.network, v, files, None,
-                                      graph.neighbors(v))
                 self.protocol.init_node(ctx)
         else:
             for v in self.network.graph.nodes():
@@ -1121,15 +987,10 @@ class AsynchronousScheduler:
         """Fresh reusable per-node contexts over the live registers."""
         network = self.network
         graph = network.graph
-        if self._compiled is not None and network.columns is not None:
+        if self._compiled is not None:
             store = network.columns
             return {v: ColumnarNodeContext(network, v, store, None,
                                            graph.neighbors(v))
-                    for v in graph.nodes()}
-        if self._compiled is not None:
-            files = network.files
-            return {v: SlotNodeContext(network, v, files, None,
-                                       graph.neighbors(v))
                     for v in graph.nodes()}
         return {v: NodeContext(network, v, network.registers)
                 for v in graph.nodes()}
@@ -1153,8 +1014,7 @@ class AsynchronousScheduler:
         all_nodes = set(nodes)
         neighbors = {v: network.graph.neighbors(v) for v in nodes}
         contexts = self._contexts()
-        columnar = self._compiled is not None and network.columns is not None
-        slot_mode = self._compiled is not None and not columnar
+        columnar = self._compiled is not None
         dirty_aware = self.dirty_aware
         # per-run dirty tracking: registers may have been rewritten
         # externally since the last call, so no skip survives a run()
@@ -1230,9 +1090,7 @@ class AsynchronousScheduler:
             if columnar:
                 ctx.wrote = False
             else:
-                ctx._dirty = {} if slot_mode else set()
-                if slot_mode:
-                    ctx._marks = None
+                ctx._dirty = set()
             return True
 
         def after(k, ctx, stepped):
@@ -1336,10 +1194,8 @@ class AsynchronousScheduler:
                             changed_at[v] = tick
                         stepped_at[v] = tick
                     else:
-                        tracker = {} if slot_mode else set()
+                        tracker = set()
                         ctx._dirty = tracker
-                        if slot_mode:
-                            ctx._marks = None
                         protocol.step(ctx)
                         ctx._dirty = None
                         if tracker:

@@ -3,8 +3,8 @@
 A fault campaign spends most of its wall time re-settling the same
 (topology, protocol, schedule, seed) network before every fault cell.
 This module serializes a settled run's *full* state — register storage
-on any backend (dict tables, per-node register files, the columnar
-store's packed columns + interning pool + boxed overflow), scheduler
+on any backend (dict tables, the columnar store's packed columns +
+interning pool + boxed overflow), scheduler
 counters (rounds, activations, skip accounting, round coverage), and
 the daemon's decision state (RNG, pending permutations, batch queues) —
 into one picklable payload, and restores it into a freshly built
@@ -35,7 +35,9 @@ a dict-backed one.  When the backend matches, the native section is
 used and the restore is exact down to interned pool ids and stable
 versions; across backends the neutral section is installed through the
 ordinary register interface, which the storage-differential suite
-already proves equivalent.
+already proves equivalent.  Payloads written by the retired per-node
+register-file backend (``backend: "schema"``, with a ``files``
+section) restore the same way: their ``files`` section is ignored.
 
 Protocol instances hold no cross-activation semantic state (label- and
 budget-derived caches are rebuilt by ``bind_registers``; per-activation
@@ -96,9 +98,9 @@ def capture_network(network: Network) -> Dict[str, Any]:
     """The network's register state as one picklable dict.
 
     Always includes the backend-neutral ``values`` section; adds the
-    native section (``columns`` or ``files``) when a schema backend is
-    active, so a same-backend restore is exact (pool ids, stable
-    versions) rather than merely observationally equivalent."""
+    native ``columns`` section when a column store is active, so a
+    same-backend restore is exact (pool ids, stable versions) rather
+    than merely observationally equivalent."""
     nodes = list(network.graph.nodes())
     state: Dict[str, Any] = {
         "nodes": nodes,
@@ -109,10 +111,6 @@ def capture_network(network: Network) -> Dict[str, Any]:
     if network.columns is not None:
         state["backend"] = "columnar"
         state["columns"] = network.columns.serialize()
-    elif network.files is not None:
-        state["backend"] = "schema"
-        state["files"] = {v: f.serialize()
-                          for v, f in network.files.items()}
     return state
 
 
@@ -122,7 +120,7 @@ def restore_network(network: Network, state: Mapping[str, Any]) -> None:
     Uses the native section when the payload's backend matches the
     network's and the layout fits; otherwise installs the neutral
     values through the register interface.  Mutates storage in place
-    (schedulers and contexts alias the underlying files/columns)."""
+    (schedulers and contexts alias the underlying columns)."""
     backend = state.get("backend")
     if backend == "columnar" and network.columns is not None:
         try:
@@ -130,19 +128,10 @@ def restore_network(network: Network, state: Mapping[str, Any]) -> None:
             return
         except (ValueError, KeyError):
             pass  # layout drift: fall through to the neutral section
-    elif backend == "schema" and network.files is not None:
-        files = state["files"]
-        if set(files) == set(network.files):
-            try:
-                for v, file in network.files.items():
-                    file.restore_serialized(files[v])
-                return
-            except (ValueError, KeyError):
-                pass  # ditto (per-node files validate before mutating)
     values = state["values"]
     for v in network.graph.nodes():
-        # RegisterTable write-through: clears the node's file/facade in
-        # place, then installs the plain dict
+        # RegisterTable write-through: clears the node's row in place,
+        # then installs the plain dict
         network.registers[v] = dict(values.get(v, {}))
 
 

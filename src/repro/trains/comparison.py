@@ -94,22 +94,6 @@ def rotation_settled(network, min_rotations: int = 1,
             if v < floor:
                 return False
         return True
-    files = network.files
-    if files is not None and REG_ROT in network.schema.slots:
-        from ..sim.registers import UNSET
-        rot = network.schema.slots[REG_ROT]
-        if base is None:
-            for f in files.values():
-                v = f.slots[rot]
-                if ((0 if v is UNSET else v) or 0) < min_rotations:
-                    return False
-            return True
-        for v, f in files.items():
-            r = f.slots[rot]
-            if ((0 if r is UNSET else r) or 0) < \
-                    base.get(v, 0) + min_rotations:
-                return False
-        return True
     if base is None:
         return all((regs.get(REG_ROT) or 0) >= min_rotations
                    for regs in network.registers.values())
@@ -183,7 +167,7 @@ class ComparisonComponent:
         self._init_pairs = tuple(
             (resolve(name), default) for name, _kind, default in _CMP_DECLS)
         # label-derived cache: node -> (sentinel, levels, {level: u0})
-        # (register files/columns only; invalidated when the stable
+        # (column storage only; invalidated when the stable
         # sentinel moves)
         self._label_cache = {}
         self._cur_cands = None
@@ -334,7 +318,7 @@ class ComparisonComponent:
         is the endpoint; None otherwise.
 
         A pure function of the labels in the closed neighbourhood —
-        memoized per level under register files (``self._cur_cands`` is
+        memoized per level under slot storage (``self._cur_cands`` is
         the sentinel-validated cache installed by :meth:`step`)."""
         cands = self._cur_cands
         if cands is not None:

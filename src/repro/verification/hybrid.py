@@ -198,7 +198,7 @@ class HybridVerifierProtocol(Protocol):
         self.top.bind_registers(compiled)
         self.bottom.bind_registers(compiled)
         self.comparison.bind_registers(compiled)
-        # register files only: label-derived caches (see the verifier)
+        # slot storage only: label-derived caches (see the verifier)
         self._slot_bound = compiled is not None
         self._static_cache = {}
         self._budget_cache = {}

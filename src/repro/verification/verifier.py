@@ -23,8 +23,8 @@ Alarms latch in the ``alarm`` register with a reason string.
 
 The protocol declares a register schema (labels, both trains, the
 comparison mechanism, its own working registers), so the schedulers back
-its networks with array-based register files by default; see
-:mod:`repro.sim.registers`.
+its networks with per-register columns by default; see
+:mod:`repro.sim.columnar`.
 """
 
 from __future__ import annotations
@@ -1003,7 +1003,7 @@ class MstVerifierProtocol(Protocol):
         self.top.bind_registers(compiled)
         self.bottom.bind_registers(compiled)
         self.comparison.bind_registers(compiled)
-        # register files only: label-derived caches keyed by the closed
+        # slot storage only: label-derived caches keyed by the closed
         # neighbourhood's stable-register version sentinel
         self._slot_bound = compiled is not None
         self._static_cache = {}
@@ -1027,7 +1027,7 @@ class MstVerifierProtocol(Protocol):
         periodically (they are pure functions of slowly changing labels).
 
         The ghost-register refresh cadence (every 32 steps) is identical
-        under every storage; under register files/columns the
+        under every storage; under column storage the
         recomputation at a refresh is additionally memoized on the label
         sentinel, so an unchanged neighbourhood never re-derives its
         budgets.  ``step_no`` lets :meth:`step` pass the counter it just
@@ -1099,7 +1099,7 @@ class MstVerifierProtocol(Protocol):
         shared fused sweep over both trains when fusion is licensed —
         a synchronous columnar round, or a conflict-free asynchronous
         batch — and the generic per-node fallback driver otherwise
-        (dict/schema storage, unlicensed live batches).
+        (dict storage, unlicensed live batches).
         See :func:`fused_verifier_sweep`."""
         ops = batch.ops
         if ops is None or not ops.fused or (

@@ -2,6 +2,8 @@
 low-memory algorithm, and the Table-1 models."""
 
 import math
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -23,6 +25,21 @@ def sqlog_network(g, labels):
     return net
 
 
+@contextmanager
+def deadline(seconds):
+    """Fail (instead of hanging) when the block overruns ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestSqLogPls:
     def test_accepts_correct(self):
         g = random_connected_graph(20, 34, seed=1)
@@ -40,6 +57,26 @@ class TestSqLogPls:
             5, stop_when=first_alarm)
         assert net.alarms()
         assert rounds == 1
+
+    def test_negative_jmask_alarms_instead_of_hanging(self):
+        """Regression: a corrupted J-mask below zero never shifts down to
+        zero, so decoding it used to loop forever (growing a list).  The
+        check must reject it as malformed, and the decoder must refuse
+        it; a bool mask keeps decoding as the int it is."""
+        from repro.labels.registers import REG_JMASK
+        from repro.labels.wellforming import sorted_levels
+
+        g = random_connected_graph(8, 12, seed=4)
+        net = sqlog_network(g, sqlog_labels(g))
+        sched = SynchronousScheduler(net, SqLogPlsProtocol())
+        victim = g.nodes()[2]
+        net.registers[victim][REG_JMASK] = -3
+        with deadline(0.5):
+            with pytest.raises(ValueError):
+                sorted_levels(-3)
+            assert sched.run(3, stop_when=first_alarm) == 1
+        assert net.alarms() == {victim: "sqlog: malformed base labels"}
+        assert sorted_levels(True) == [0]
 
     def test_rejects_non_mst_in_one_round(self):
         from repro.graphs.spanning import RootedTree

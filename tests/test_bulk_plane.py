@@ -4,7 +4,7 @@ The plane's contract: routing batches through ``Protocol.bulk_step``
 (scheduler default) is *bit-for-bit* equivalent to the scalar per-node
 loops (``bulk=False``) — same register traces, alarms, rounds,
 activations, skip accounting, and memory bits — on every storage
-backend (dict / schema / columnar / numpy), under every scheduler kind (sync /
+backend (dict / columnar / numpy), under every scheduler kind (sync /
 async daemons / the locality-batching daemon), for every protocol that
 declares a bulk sweep, and in the presence of adversarial junk planted
 into nat/tuple columns mid-sweep (the fused column ops must degrade
@@ -76,8 +76,8 @@ def _run_sync(graph, storage, bulk, seed, proto_kind, fast_path=True):
 def test_sync_bulk_vs_scalar_bitwise_equal(proto_kind, campaign_seed):
     """Full per-round register traces of a settle/inject/detect run
     match between the bulk plane and the scalar loop on every storage
-    backend (columnar exercises the fused column sweep; dict/schema the
-    generic fallback driver), fast path and naive loop alike."""
+    backend (columnar exercises the fused column sweep; dict the generic
+    fallback driver), fast path and naive loop alike."""
     g = random_connected_graph(14, 22, seed=campaign_seed % 1013)
     ref = _run_sync(g, "dict", False, campaign_seed, proto_kind)
     for storage in STORAGES:
@@ -411,7 +411,7 @@ def test_junk_mid_sweep_async_fused_equals_scalar(campaign_seed):
     conflict-free daemon, junk planted into nat/tuple columns between
     runs must flow through the *live* fused column sweeps exactly like
     the scalar context writes — bit-for-bit vs the scalar loop across
-    dict/schema/columnar, skip accounting included."""
+    dict/columnar/numpy, skip accounting included."""
     g = random_connected_graph(12, 20, seed=campaign_seed % 941)
 
     def run(storage, bulk, dirty_aware=True):

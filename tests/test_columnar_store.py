@@ -269,7 +269,6 @@ def test_fault_injection_into_nat_columns_degrades_gracefully():
                 net.max_memory_bits(), net.total_memory_bits())
 
     ref = corrupt("dict")
-    assert corrupt("schema") == ref
     assert corrupt("columnar") == ref
 
 
@@ -340,8 +339,7 @@ def test_rotation_settled_matches_dict_on_boxed_rot():
             net.registers[v]["_rot"] = 1 << 62   # beyond int64 packing
         return rotation_settled(net)
 
-    assert settled("dict") is settled("schema") is settled("columnar") \
-        is True
+    assert settled("dict") is settled("columnar") is True
 
 
 def test_alarm_latches_under_packed_alarm_kind():

@@ -1,18 +1,22 @@
-"""Unit tests for the typed register file layer (``repro.sim.registers``).
+"""Unit tests for the register layer (``repro.sim.registers``).
 
-The mapping views must be indistinguishable from plain dicts; the nat /
-decode caches and stable-version counters are derived state that must
-never leak into observable behaviour.
+Schema compilation, then the dict-compatible :class:`RegisterView` over
+one node's register file — its row of the column store, reached through
+:class:`~repro.sim.columnar.ColumnarNodeFacade` — and schema adoption
+by a :class:`Network`.  The mapping views must be indistinguishable
+from plain dicts; the decode caches and stable-version counters are
+derived state that must never leak into observable behaviour.
 """
 
 import pickle
 
 import pytest
 
+from repro.graphs.generators import random_connected_graph
 from repro.graphs.weighted import WeightedGraph
-from repro.sim import (Network, RegisterFile, RegisterSchema, RegisterView,
-                       compile_schema, register_bits)
-from repro.sim.registers import NO_DECODE, UNSET
+from repro.sim import (ColumnarNodeFacade, ColumnStore, Network,
+                       RegisterSchema, RegisterView, compile_schema,
+                       register_bits)
 
 
 def _schema():
@@ -21,7 +25,21 @@ def _schema():
     s.declare("wd", "nat", 0)
     s.declare("roots", "str", None, stable=True)
     s.declare("pieces", "tuple", None, stable=True)
+    s.declare("blob", "opaque", None)
     return s.compile()
+
+
+def _view(store=None, node=0):
+    """A node's register view over a (fresh, 3-node) column store."""
+    if store is None:
+        store = ColumnStore(_schema(), [0, 1, 2])
+    return RegisterView(ColumnarNodeFacade(store, node))
+
+
+def _context(node=0):
+    """A scheduler-style context over a schema-adopting network."""
+    net = Network(random_connected_graph(3, 3, seed=1), schema=_schema())
+    return net, net.local_context(node)
 
 
 class TestSchema:
@@ -60,8 +78,7 @@ class TestSchema:
 
 class TestRegisterFileView:
     def test_view_behaves_like_dict(self):
-        f = RegisterFile(_schema())
-        view = RegisterView(f)
+        view = _view()
         assert dict(view) == {}
         view["wd"] = 3
         view["roots"] = "10*"
@@ -79,66 +96,96 @@ class TestRegisterFileView:
             del view["wd"]
 
     def test_view_equals_plain_dict(self):
-        f = RegisterFile(_schema())
-        view = RegisterView(f)
+        view = _view()
         view.update({"wd": 1, "alarm": None})
         assert view == {"wd": 1, "alarm": None}
         assert not (view == {"wd": 2, "alarm": None})
+        store = view.file.store
+        other = _view(store, node=1)
+        other.update({"wd": 1, "alarm": None})
+        assert view == other
+        assert view != _view(store, node=2)
 
     def test_bits_match_dict_accounting(self):
-        f = RegisterFile(_schema())
-        view = RegisterView(f)
+        view = _view()
         contents = {"wd": 9, "roots": "101", "pieces": (1, 2),
                     "_ghost": 10 ** 9, "extra_reg": True}
         view.update(contents)
         assert register_bits(view) == register_bits(contents)
+        assert view.file.bits() == register_bits(contents)
 
     def test_copy_is_independent(self):
-        f = RegisterFile(_schema())
-        f.set_name("wd", 1)
-        c = f.copy()
-        c.set_name("wd", 2)
-        assert f.get_name("wd") == 1
-        assert c.get_name("wd") == 2
+        """A snapshot fork and its live store never share writes."""
+        store = ColumnStore(_schema(), [0, 1, 2])
+        live = _view(store)
+        live["wd"] = 1
+        live["planted"] = "x"
+        snap = store.fork()
+        forked = _view(snap)
+        forked["wd"] = 2
+        forked["planted"] = "y"
+        assert dict(live) == {"wd": 1, "planted": "x"}
+        assert dict(forked) == {"wd": 2, "planted": "y"}
 
     def test_nat_cache_tracks_writes(self):
-        f = RegisterFile(_schema())
-        i = f.schema.slots["wd"]
-        f.set_slot(i, 7)
-        assert f.nats[i] == 7
-        f.set_slot(i, -1)
-        assert f.nats[i] is None
-        f.set_slot(i, True)           # bools are not nats
-        assert f.nats[i] is None
+        """Nat reads follow every write: negative ints, bools, and junk
+        read as None, in-range ints as themselves."""
+        net, ctx = _context()
+        wd = net.schema.slot("wd")
+        for value, nat in ((7, 7), (-1, None), (True, None), ("x", None),
+                           (1 << 70, None), (0, 0)):
+            ctx.set(wd, value)
+            assert ctx.nat(wd) == nat, value
+            assert ctx.nat("wd") == nat, value
+        net.registers[0]["wd"] = 5                # view writes too
+        assert ctx.nat(wd) == 5
 
     def test_decode_cache_invalidated_on_write(self):
-        f = RegisterFile(_schema())
-        i = f.schema.slots["pieces"]
-        f.set_slot(i, (1, 2, 3))
-        assert f.decoded[i] is NO_DECODE
-        f.decoded[i] = "decoded!"
-        f.set_slot(i, (4, 5, 6))
-        assert f.decoded[i] is NO_DECODE
+        """Decodes are cached until the register is written again, in a
+        pooled (tuple) column and a boxed (opaque) one alike."""
+        for register in ("pieces", "blob"):
+            net, ctx = _context()
+            slot = net.schema.slot(register)
+            calls = []
+
+            def decoder(value):
+                calls.append(value)
+                return ("decoded", value)
+
+            ctx.set(slot, (1, 2, 3))
+            assert ctx.get_decoded(slot, decoder) == ("decoded", (1, 2, 3))
+            assert ctx.get_decoded(slot, decoder) == ("decoded", (1, 2, 3))
+            assert calls == [(1, 2, 3)]
+            ctx.set(slot, (4, 5, 6))
+            assert ctx.get_decoded(slot, decoder) == ("decoded", (4, 5, 6))
+            net.registers[0][register] = (7,)     # view writes too
+            assert ctx.get_decoded(slot, decoder) == ("decoded", (7,))
+            assert calls == [(1, 2, 3), (4, 5, 6), (7,)], register
 
     def test_stable_version_bumps_only_on_stable_slots(self):
-        f = RegisterFile(_schema())
-        v0 = f.stable_version
+        store = ColumnStore(_schema(), [0, 1, 2])
+        f = ColumnarNodeFacade(store, 1)
+        v0, e0 = store.stable_versions[1], store.stable_epoch
         f.set_name("wd", 5)           # dynamic
-        assert f.stable_version == v0
+        assert (store.stable_versions[1], store.stable_epoch) == (v0, e0)
         f.set_name("roots", "111")    # stable
-        assert f.stable_version == v0 + 1
+        assert store.stable_versions[1] == v0 + 1
         f.del_name("roots")
-        assert f.stable_version == v0 + 2
+        assert store.stable_versions[1] == v0 + 2
+        assert store.stable_epoch == e0 + 2
+        assert store.stable_versions[0] == store.stable_versions[2] == 0
 
     def test_clear_resets_everything(self):
-        f = RegisterFile(_schema())
-        f.set_name("wd", 5)
-        f.set_name("planted", 1)
-        slots_id = id(f.slots)
-        f.clear()
-        assert dict(RegisterView(f)) == {}
-        # in place: contexts alias the slot lists
-        assert id(f.slots) == slots_id
+        store = ColumnStore(_schema(), [0, 1, 2])
+        view, neighbour = _view(store), _view(store, node=1)
+        view.update({"wd": 5, "roots": "1", "planted": 1})
+        neighbour["wd"] = 6
+        columns = [id(col) for col in store.data]
+        view.clear()
+        assert dict(view) == {}
+        assert dict(neighbour) == {"wd": 6}
+        # in place: contexts alias the columns
+        assert [id(col) for col in store.data] == columns
 
 
 class TestNetworkAdoption:
@@ -155,13 +202,17 @@ class TestNetworkAdoption:
         before = {v: dict(r) for v, r in net.registers.items()}
         net.adopt_schema(_schema())
         assert {v: dict(r) for v, r in net.registers.items()} == before
-        assert net.files is not None
+        assert type(net.columns) is ColumnStore
+        net.adopt_schema(_schema(), numpy=True)   # store class switch
+        assert {v: dict(r) for v, r in net.registers.items()} == before
 
     def test_wholesale_assignment_writes_through(self):
         net = Network(self._graph(), schema=_schema())
+        store = net.columns
         net.registers["a"] = {"wd": 9}
-        assert net.files["a"].get_name("wd") == 9
+        assert store.get_value(store.index["a"], net.schema.slot("wd")) == 9
         assert dict(net.registers["a"]) == {"wd": 9}
+        assert isinstance(net.registers["a"], RegisterView)
 
     def test_alarms_via_slots(self):
         net = Network(self._graph(), schema=_schema())
@@ -178,6 +229,7 @@ class TestNetworkAdoption:
         assert empty.total_memory_bits() == 0
         schema_backed = Network(WeightedGraph(), schema=_schema())
         assert schema_backed.max_memory_bits() == 0
+        assert schema_backed.total_memory_bits() == 0
 
     def test_register_views_survive_pickling_of_contents(self):
         """Campaign results carry register-derived data across process

@@ -4,7 +4,7 @@ equivalent to the naive lock-step loop, under both storage backends.
 The fast path (dirty-set snapshot + quiescence skip, see
 ``repro.sim.schedulers``) must produce *identical register traces and
 round counts* on every protocol in the repo — whether node state lives
-in legacy dicts or in the typed register file (``use_schema``).  We
+in dicts (``storage="dict"``) or in the default column store.  We
 drive the full MST verifier (never quiescent: the trains patrol
 forever) across the full fast_path x storage grid, the Boruvka
 construction protocol (quiescent once every node is done — exercises the
@@ -23,10 +23,10 @@ from repro.verification import make_network
 from repro.verification.verifier import MstVerifierProtocol
 
 
-def run_traced(network, protocol, rounds, fast, use_schema=True):
+def run_traced(network, protocol, rounds, fast, storage=None):
     """Run and record the full register state after every executed round."""
     sched = SynchronousScheduler(network, protocol, fast_path=fast,
-                                 use_schema=use_schema)
+                                 storage=storage)
     trace = []
 
     def record(net):
@@ -60,13 +60,13 @@ class TestVerifierEquivalence:
         g = random_connected_graph(24, 40, seed=11)
         traces = {}
         for fast in (False, True):
-            for use_schema in (False, True):
+            for storage in ("dict", None):
                 net = make_network(g)
                 proto = MstVerifierProtocol(synchronous=True)
                 _, trace, executed = run_traced(net, proto, 80, fast,
-                                                use_schema)
-                traces[(fast, use_schema)] = (trace, executed)
-        ref = traces[(False, False)]
+                                                storage)
+                traces[(fast, storage)] = (trace, executed)
+        ref = traces[(False, "dict")]
         for combo, got in traces.items():
             assert got[1] == ref[1], combo
             assert len(got[0]) == len(ref[0]), combo
@@ -78,11 +78,11 @@ class TestVerifierEquivalence:
         g = random_connected_graph(20, 34, seed=12)
         outcomes = {}
         for fast in (False, True):
-            for use_schema in (False, True):
+            for storage in ("dict", None):
                 net = make_network(g)
                 proto = MstVerifierProtocol(synchronous=True)
                 sched = SynchronousScheduler(net, proto, fast_path=fast,
-                                             use_schema=use_schema)
+                                             storage=storage)
                 sched.run(60)
                 inj = FaultInjector(net, seed=5)
                 inj.corrupt_random_nodes(2, fraction=0.5)
@@ -94,9 +94,9 @@ class TestVerifierEquivalence:
                     return bool(n.alarms())
 
                 detect_rounds = sched.run(3000, stop_when=record)
-                outcomes[(fast, use_schema)] = (detect_rounds, net.alarms(),
-                                                trace, sched.rounds)
-        ref = outcomes[(False, False)]
+                outcomes[(fast, storage)] = (detect_rounds, net.alarms(),
+                                             trace, sched.rounds)
+        ref = outcomes[(False, "dict")]
         for combo, got in outcomes.items():
             assert got[0] == ref[0], combo
             assert got[1] == ref[1], combo

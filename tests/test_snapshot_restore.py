@@ -7,10 +7,10 @@ suite's standard: settle → snapshot → restore into a freshly built
 network/scheduler/protocol → inject fault → run, compared bit-for-bit —
 full per-node register traces at every stop-condition poll, alarms,
 round/activation/skip counters, memory-bit accounting — against the
-uninterrupted settle → inject → run, across dict/schema/columnar
-storage × sync/async/locality/independent schedules ×
-verifier/hybrid/sqlog protocols, with adversarial junk planted in
-nat/tuple columns *before* the snapshot.
+uninterrupted settle → inject → run, across dict/columnar/numpy
+storage (plus legacy register-file payloads) × sync/async/locality/
+independent/tiled schedules × verifier/hybrid/sqlog protocols, with
+adversarial junk planted in nat/tuple columns *before* the snapshot.
 
 The engine-level tests then pin the cache semantics: warm-started
 ``run_scenario`` results equal cold ones field for field, the cache key
@@ -38,9 +38,11 @@ from repro.sim import (AsynchronousScheduler, ConflictFreeDaemon,
                        PermutationDaemon, SynchronousScheduler,
                        TiledConflictFreeDaemon)
 from repro.sim.churn import _articulation_points
-from repro.sim.snapshot import (SnapshotError, capture_run_state,
-                                decode_snapshot, encode_snapshot,
-                                restore_run_state, topology_signature)
+from repro.sim.registers import UNSET
+from repro.sim.snapshot import (SNAPSHOT_VERSION, SnapshotError,
+                                capture_run_state, decode_snapshot,
+                                encode_snapshot, restore_run_state,
+                                topology_signature)
 from repro.verification.marker import run_marker
 
 SETTLE_ROUNDS = 16
@@ -48,6 +50,9 @@ DETECT_ROUNDS = 40
 DAEMON_SEED = 11
 FAULT_SEED = 77
 
+#: ``schema`` is the retired per-node register-file backend: its cells
+#: settle on the default columnar store and restore the snapshot in the
+#: payload shape that backend wrote (``_legacy_schema_payload``)
 STORAGES = ("dict", "schema", "columnar", "numpy")
 PROTOCOL_KINDS = ("verifier", "hybrid", "sqlog")
 SCHEDULE_KINDS = ("sync", "permutation", "locality", "independent",
@@ -144,15 +149,37 @@ def _detect(network, scheduler):
     }
 
 
+def _legacy_schema_payload(payload):
+    """``payload`` as the retired per-node register-file backend wrote
+    it: ``backend: "schema"`` and a ``files`` section (per-node slot
+    lists in schema order, undeclared extras, a stable counter) beside
+    the neutral ``values`` section, and no ``columns`` section."""
+    state = dict(payload["network"])
+    names = state.pop("columns")["names"]
+    files = {}
+    for v, regs in state["values"].items():
+        extra = {k: x for k, x in regs.items() if k not in names}
+        files[v] = {"slots": [regs.get(name, UNSET) for name in names],
+                    "extra": extra or None, "stable_version": 0}
+    state["backend"] = "schema"
+    state["files"] = files
+    return dict(payload, network=state)
+
+
 @pytest.mark.parametrize("storage", STORAGES)
 @pytest.mark.parametrize("schedule", SCHEDULE_KINDS)
 @pytest.mark.parametrize("protocol_kind", PROTOCOL_KINDS)
 def test_restore_equivalence(instance, protocol_kind, schedule, storage):
     """settle→snapshot→restore→inject ≡ settle→inject, bit for bit."""
+    legacy = storage == "schema"
+    if legacy:
+        storage = "columnar"
     network, scheduler, settled = _settle(instance, protocol_kind,
                                           schedule, storage)
     payload = capture_run_state(network, scheduler, settled)
     assert payload is not None
+    if legacy:
+        payload = _legacy_schema_payload(payload)
     blob = encode_snapshot(payload)          # through the wire format
     settled_registers = {v: dict(network.registers[v])
                          for v in network.graph.nodes()}
@@ -197,7 +224,7 @@ def test_restore_crosses_storage_backends(instance, target_storage):
     key excludes ``storage``) with the same observable continuation —
     including numpy-tier snapshots warming plain-columnar runs and
     vice versa (the serialized buffer is the same raw int64 layout)."""
-    source_storage = {"dict": "numpy", "columnar": "schema",
+    source_storage = {"dict": "numpy", "columnar": "dict",
                       "numpy": "columnar"}[target_storage]
     network, scheduler, settled = _settle(instance, "verifier", "sync",
                                           source_storage)
@@ -207,6 +234,42 @@ def test_restore_crosses_storage_backends(instance, target_storage):
     fresh_net, fresh_sched = _build(instance, "verifier", "sync",
                                     target_storage)
     assert restore_run_state(fresh_net, fresh_sched, payload) == settled
+    assert _detect(fresh_net, fresh_sched) == reference
+
+
+@pytest.mark.parametrize("target_storage", ("columnar", "dict"))
+def test_legacy_schema_payload_restores_through_values(instance,
+                                                       target_storage):
+    """A hand-built payload of the retired register-file backend
+    (``backend: "schema"`` with a ``files`` section) restores through
+    its neutral ``values`` section: the stale ``files`` section is
+    never read, nothing raises, and the continuation matches the
+    uninterrupted run."""
+    network, scheduler, settled = _settle(instance, "verifier", "sync",
+                                          "dict")
+    nodes = list(network.graph.nodes())
+    values = {v: dict(network.registers[v]) for v in nodes}
+    reference = _detect(network, scheduler)
+    stale = {v: {"slots": ["stale"], "extra": {"stale": 1},
+                 "stable_version": 7} for v in nodes[1:]}
+    payload = {
+        "version": SNAPSHOT_VERSION,
+        "network": {"nodes": nodes,
+                    "topo_sig": topology_signature(network.graph),
+                    "backend": "schema", "files": stale,
+                    "values": values},
+        "scheduler": {"kind": "sync", "rounds": settled,
+                      "initialized": True},
+        "settle_rounds": settled,
+    }
+
+    fresh_net, fresh_sched = _build(instance, "verifier", "sync",
+                                    target_storage)
+    assert restore_run_state(fresh_net, fresh_sched,
+                             decode_snapshot(encode_snapshot(payload))) \
+        == settled
+    assert {v: dict(fresh_net.registers[v]) for v in nodes} == values
+    assert (fresh_net.columns is not None) == (target_storage != "dict")
     assert _detect(fresh_net, fresh_sched) == reference
 
 
@@ -409,8 +472,8 @@ def test_warm_cache_shared_across_impl_params(warm_dir):
     only in them share one entry — and restoring a columnar-written
     snapshot into a dict-backed run reproduces the cold result."""
     cold = run_scenario(_spec())           # columnar, populates
-    for params in ({"storage": "dict"}, {"storage": "schema"},
-                   {"bulk": False}, {"fast_path": False}):
+    for params in ({"storage": "dict"}, {"bulk": False},
+                   {"fast_path": False}):
         result = run_scenario(_spec(schedule=axis("sync", **params)))
         assert result.cache_hit is True, params
         assert _strip(result) == _strip(cold)
